@@ -1,6 +1,8 @@
 package pebblesdb_test
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"pebblesdb"
@@ -221,6 +223,102 @@ func TestIterAllocs(t *testing.T) {
 			}
 			if err := pit.Error(); err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// openGuardedDB builds a fully compacted store of n keys (from a key space
+// of 100n) with a block cache that holds it all. On the FLSM engine the
+// last level holds about one guard per 16 keys.
+func openGuardedDB(t testing.TB, engine pebblesdb.Engine, n int) *pebblesdb.DB {
+	t.Helper()
+	o := pebblesdb.PresetPebblesDB.Options()
+	o.Engine = engine
+	harness.Scale(o, 64)
+	o.TopLevelBits = 4 + (o.NumLevels-2)*o.BitDecrement
+	o.BlockCacheSize = 64 << 20 // hold the entire dataset decompressed
+	o.WithFS(vfs.NewMem())
+	db, err := pebblesdb.Open("guarded", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := harness.FillRandom(db, n, 100*n, 64, 1); err != nil {
+		db.Close()
+		t.Fatal(err)
+	}
+	// A second pass after the background work drains pushes down what a
+	// concurrently running unit held during the first.
+	for i := 0; i < 2; i++ {
+		if err := db.CompactAll(); err != nil {
+			db.Close()
+			t.Fatal(err)
+		}
+		if err := db.WaitIdle(); err != nil {
+			db.Close()
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// TestNewIterAllocBytes pins the cost of building an iterator: a fresh
+// NewIter + SeekGE + Close allocates a fixed number of bytes, however many
+// guards the store holds, because the guard-level iterators read the
+// immutable version in place instead of copying each level's guard list.
+func TestNewIterAllocBytes(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const budget = 1 << 10 // bytes per NewIter + SeekGE + Close
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, c := range []struct {
+		keys, minGuards int
+	}{{10_000, 500}, {40_000, 2000}} {
+		t.Run(fmt.Sprintf("keys=%d", c.keys), func(t *testing.T) {
+			db := openGuardedDB(t, pebblesdb.EngineFLSM, c.keys)
+			defer db.Close()
+			guards := db.Metrics().Tree.GuardsPerLevel
+			last := guards[len(guards)-1]
+			if last < c.minGuards {
+				t.Fatalf("last level has %d guards, want >= %d", last, c.minGuards)
+			}
+			seek := make([]byte, 0, 16)
+			i := 0
+			op := func() {
+				// 64 targets spread over the key space: the warm-up below
+				// caches their blocks, so the loop measures set-up, not IO.
+				seek = harness.KeyAt(seek, uint64(i%64)*uint64(c.keys)*50/64)
+				i++
+				it, err := db.NewIter(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				it.SeekGE(seek)
+				if !it.Valid() {
+					t.Fatalf("SeekGE(%s) found nothing", seek)
+				}
+				if err := it.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for j := 0; j < 128; j++ { // warm the caches and pools
+				op()
+			}
+			const runs = 200
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for j := 0; j < runs; j++ {
+				op()
+			}
+			runtime.ReadMemStats(&after)
+			perOp := (after.TotalAlloc - before.TotalAlloc) / runs
+			t.Logf("%d last-level guards: %d B per NewIter+SeekGE+Close", last, perOp)
+			if perOp > budget {
+				t.Errorf("%d last-level guards: NewIter+SeekGE+Close allocates %d B, budget %d B", last, perOp, budget)
 			}
 		})
 	}

@@ -282,6 +282,43 @@ func BenchmarkSeek(b *testing.B) {
 	}
 }
 
+// BenchmarkNewIterSeek measures a short range query with a fresh
+// iterator — NewIter + SeekGE + 10×Next + Close — on FLSM and leveled
+// stores of two sizes. Iterator set-up does not grow with the store, so
+// the FLSM ns/op and B/op should barely move between the sizes although
+// the larger store holds about four times the guards. Run with -benchmem.
+func BenchmarkNewIterSeek(b *testing.B) {
+	for _, eng := range []struct {
+		name   string
+		engine pebblesdb.Engine
+	}{{"flsm", pebblesdb.EngineFLSM}, {"leveled", pebblesdb.EngineLeveled}} {
+		for _, n := range []int{10_000, 40_000} {
+			b.Run(fmt.Sprintf("%s/keys=%d", eng.name, n), func(b *testing.B) {
+				db := openGuardedDB(b, eng.engine, n)
+				defer db.Close()
+				rng := rand.New(rand.NewSource(6))
+				key := make([]byte, 0, 16)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					key = harness.KeyAt(key, uint64(rng.Intn(50*n)))
+					it, err := db.NewIter(nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					it.SeekGE(key)
+					for j := 0; j < 10 && it.Valid(); j++ {
+						it.Next()
+					}
+					if err := it.Close(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkReverseScan measures reverse range queries (SeekLT + Prevs) on
 // a compacted FLSM store — the v2 API's mirror of the paper's
 // seek-then-nexts range query.

@@ -55,29 +55,3 @@ func (b Bounds) Overlaps(f *FileMetadata) bool {
 	}
 	return true
 }
-
-// FilterFiles returns the files overlapping the bounds, preserving order.
-// When every file overlaps (the common unbounded case) the input slice is
-// returned without copying.
-func (b Bounds) FilterFiles(files []*FileMetadata) []*FileMetadata {
-	if b.Unbounded() {
-		return files
-	}
-	all := true
-	for _, f := range files {
-		if !b.Overlaps(f) {
-			all = false
-			break
-		}
-	}
-	if all {
-		return files
-	}
-	out := make([]*FileMetadata, 0, len(files))
-	for _, f := range files {
-		if b.Overlaps(f) {
-			out = append(out, f)
-		}
-	}
-	return out
-}

@@ -362,10 +362,13 @@ func Decode(dst, src []byte) ([]byte, error) {
 		if offset <= 0 || d < offset || length > dLen-d {
 			return nil, ErrCorrupt
 		}
-		// Byte-at-a-time: copies may overlap their own output (offset <
-		// length replicates a pattern), which bulk copy would break.
-		for end := d + length; d != end; d++ {
-			dst[d] = dst[d-offset]
+		// A copy shorter than its offset is one bulk copy. A longer one
+		// overlaps its own output and repeats the offset-byte pattern:
+		// each pass copies the run written so far, a whole number of
+		// patterns, so the run doubles until the copy is complete.
+		start, end := d-offset, d+length
+		for d < end {
+			d += copy(dst[d:end], dst[start:d])
 		}
 	}
 	if d != dLen {

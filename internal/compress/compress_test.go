@@ -2,7 +2,9 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -204,6 +206,145 @@ func TestDstReuse(t *testing.T) {
 	}
 }
 
+// decodeRef decodes with a byte-at-a-time copy loop, which is correct for
+// overlapping copies by construction. Decode's bulk copies are checked
+// against it.
+func decodeRef(src []byte) ([]byte, error) {
+	dLen, s, err := decodedLen(src)
+	if err != nil {
+		return nil, err
+	}
+	dst := make([]byte, dLen)
+	var d, offset, length int
+	for s < len(src) {
+		switch src[s] & 0x03 {
+		case tagLiteral:
+			x := uint32(src[s] >> 2)
+			switch {
+			case x < 60:
+				s++
+			case x == 60:
+				s += 2
+				if s > len(src) {
+					return nil, ErrCorrupt
+				}
+				x = uint32(src[s-1])
+			case x == 61:
+				s += 3
+				if s > len(src) {
+					return nil, ErrCorrupt
+				}
+				x = uint32(src[s-2]) | uint32(src[s-1])<<8
+			case x == 62:
+				s += 4
+				if s > len(src) {
+					return nil, ErrCorrupt
+				}
+				x = uint32(src[s-3]) | uint32(src[s-2])<<8 | uint32(src[s-1])<<16
+			default: // x == 63
+				s += 5
+				if s > len(src) {
+					return nil, ErrCorrupt
+				}
+				x = uint32(src[s-4]) | uint32(src[s-3])<<8 | uint32(src[s-2])<<16 | uint32(src[s-1])<<24
+			}
+			length = int(x) + 1
+			if length <= 0 || length > dLen-d || length > len(src)-s {
+				return nil, ErrCorrupt
+			}
+			copy(dst[d:], src[s:s+length])
+			d += length
+			s += length
+			continue
+
+		case tagCopy1:
+			s += 2
+			if s > len(src) {
+				return nil, ErrCorrupt
+			}
+			length = 4 + int(src[s-2])>>2&0x7
+			offset = int(uint32(src[s-2])&0xe0<<3 | uint32(src[s-1]))
+
+		case tagCopy2:
+			s += 3
+			if s > len(src) {
+				return nil, ErrCorrupt
+			}
+			length = 1 + int(src[s-3])>>2
+			offset = int(uint32(src[s-2]) | uint32(src[s-1])<<8)
+
+		case tagCopy4:
+			s += 5
+			if s > len(src) {
+				return nil, ErrCorrupt
+			}
+			length = 1 + int(src[s-5])>>2
+			offset = int(uint32(src[s-4]) | uint32(src[s-3])<<8 | uint32(src[s-2])<<16 | uint32(src[s-1])<<24)
+		}
+
+		if offset <= 0 || d < offset || length > dLen-d {
+			return nil, ErrCorrupt
+		}
+		for end := d + length; d != end; d++ {
+			dst[d] = dst[d-offset]
+		}
+	}
+	if d != dLen {
+		return nil, ErrCorrupt
+	}
+	return dst, nil
+}
+
+// checkAgainstRef decodes src with Decode and decodeRef, fails unless both
+// return the same bytes or both fail with the same error, and returns
+// Decode's result.
+func checkAgainstRef(t *testing.T, src []byte) ([]byte, error) {
+	t.Helper()
+	got, err := Decode(nil, src)
+	want, werr := decodeRef(src)
+	if !errors.Is(err, werr) || (werr == nil && !bytes.Equal(got, want)) {
+		t.Fatalf("Decode(% x) = %q, %v; reference = %q, %v", src, got, err, want, werr)
+	}
+	return got, err
+}
+
+// TestDecodeCopiesMatchReference decodes a literal followed by one copy
+// element for every offset 1-70 and length 1-64, in both copy encodings
+// that reach them: overlapping copies (offset < length) exercise the
+// doubling path, the rest the single bulk copy. A second literal after the
+// copy checks the decoder resumes at the right output position.
+func TestDecodeCopiesMatchReference(t *testing.T) {
+	lit := make([]byte, 70)
+	for i := range lit {
+		lit[i] = byte('a' + i%26 + i/26)
+	}
+	for offset := 1; offset <= 70; offset++ {
+		for length := 1; length <= 64; length++ {
+			body := []byte{uint8(offset-1)<<2 | tagLiteral}
+			if offset > 60 { // the length moves to an extra byte
+				body = []byte{60<<2 | tagLiteral, uint8(offset - 1)}
+			}
+			body = append(body, lit[:offset]...)
+			body = append(body, uint8(length-1)<<2|tagCopy2, uint8(offset), 0)
+			n := offset + length
+			if length >= 4 && length <= 11 {
+				// The same copy again as a copy-1 element.
+				body = append(body, uint8(length-4)<<2|tagCopy1, uint8(offset))
+				n += length
+			}
+			body = append(body, 0<<2|tagLiteral, 'z')
+			src := append(binary.AppendUvarint(nil, uint64(n+1)), body...)
+			if _, err := decodeRef(src); err != nil {
+				t.Fatalf("offset %d length %d: reference rejects the stream: %v", offset, length, err)
+			}
+			checkAgainstRef(t, src)
+		}
+	}
+	for _, src := range decodeSeeds() {
+		checkAgainstRef(t, src)
+	}
+}
+
 func BenchmarkEncodeSemiCompressible(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	quarter := make([]byte, 1<<10)
@@ -222,6 +363,38 @@ func BenchmarkDecodeSemiCompressible(b *testing.B) {
 	quarter := make([]byte, 1<<10)
 	rng.Read(quarter)
 	src := bytes.Repeat(quarter, 4)
+	enc := Encode(nil, src)
+	dst := make([]byte, len(src))
+	b.SetBytes(int64(len(src)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decode(dst, enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeBlock decodes a 4 KiB block shaped like the benchmark
+// data: 16-byte keys and 256-byte values whose bodies repeat 50-byte random
+// fragments (harness.ValueSource at its default compressible fraction), so
+// the copies are short and near, unlike BenchmarkDecodeSemiCompressible's
+// offset-1024 runs.
+func BenchmarkDecodeBlock(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	var pool []byte
+	frag := make([]byte, 50)
+	for len(pool) < 64<<10 {
+		for i := range frag {
+			frag[i] = byte(' ' + rng.Intn(95))
+		}
+		pool = append(pool, frag...)
+		pool = append(pool, frag...)
+	}
+	var src []byte
+	for i, pos := 0, 0; len(src) < 4<<10; i, pos = i+1, pos+256 {
+		src = append(src, fmt.Sprintf("%016d", rng.Int63n(1e15))...)
+		src = append(src, pool[pos:pos+256]...)
+	}
 	enc := Encode(nil, src)
 	dst := make([]byte, len(src))
 	b.SetBytes(int64(len(src)))

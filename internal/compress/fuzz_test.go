@@ -5,13 +5,11 @@ import (
 	"testing"
 )
 
-// FuzzDecode feeds arbitrary bytes to the decoder: it must never panic or
-// over-read, only return data or ErrCorrupt/ErrTooLarge. Run with
-// `go test -fuzz=FuzzDecode ./internal/compress`.
-func FuzzDecode(f *testing.F) {
-	// Seed corpus: valid streams (from the encoder and hand-built vectors)
-	// plus near-miss corruptions, so mutation starts at the format's edges.
-	seeds := [][]byte{
+// decodeSeeds is FuzzDecode's seed corpus: valid streams (from the encoder
+// and hand-built vectors) plus near-miss corruptions, so mutation starts at
+// the format's edges.
+func decodeSeeds() [][]byte {
+	return [][]byte{
 		{0x00},
 		{0x03, 0x08, 'a', 'b', 'c'},
 		{0x14, 0x04, 'a', 'b', 0x46, 0x02, 0x00},
@@ -22,11 +20,18 @@ func FuzzDecode(f *testing.F) {
 		Encode(nil, bytes.Repeat([]byte("pebblesdb"), 100)),
 		Encode(nil, []byte("short")),
 	}
-	for _, s := range seeds {
+}
+
+// FuzzDecode feeds arbitrary bytes to the decoder: it must never panic or
+// over-read, only return data or ErrCorrupt/ErrTooLarge, and it must agree
+// with the byte-at-a-time reference decoder. Run with
+// `go test -fuzz=FuzzDecode ./internal/compress`.
+func FuzzDecode(f *testing.F) {
+	for _, s := range decodeSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src []byte) {
-		dst, err := Decode(nil, src)
+		dst, err := checkAgainstRef(t, src)
 		if err != nil {
 			return
 		}

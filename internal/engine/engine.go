@@ -307,10 +307,12 @@ func Open(cfg *base.Config, fs vfs.FS, dir string, kind Kind) (*Engine, error) {
 	// Tee the flight recorder in front of any user listener so every
 	// lifecycle event — including those emitted by the trees, WAL, and
 	// manifest through this config — is retained for RecentEvents and the
-	// degradation dump. Downstream code can rely on cfg.EventListener
-	// being non-nil from here on.
+	// degradation dump. Delivery is ordered, so both see timestamps in
+	// order although events are emitted from several goroutines.
+	// Downstream code can rely on cfg.EventListener being non-nil from
+	// here on.
 	e.rec = obs.NewRecorder(0)
-	cfg.EventListener = obs.Tee(e.rec, cfg.EventListener)
+	cfg.EventListener = obs.Ordered(obs.Tee(e.rec, cfg.EventListener))
 
 	var tree Tree
 	var err error

@@ -83,7 +83,7 @@ func checkInvariants(t *testing.T, tree *Tree) {
 		if len(gl.guards) > 0 {
 			first := gl.guards[0].Key
 			for _, f := range gl.sentinel {
-				if bytes.Compare(f.LargestUserKey(), first) >= 0 {
+				if reachesPast(f, first) {
 					t.Fatalf("level %d: sentinel file %s reaches past first guard %q", l, f, first)
 				}
 			}
@@ -98,12 +98,19 @@ func checkInvariants(t *testing.T, tree *Tree) {
 				if bytes.Compare(f.SmallestUserKey(), lo) < 0 {
 					t.Fatalf("level %d guard %q: file %s starts before guard", l, lo, f)
 				}
-				if hi != nil && bytes.Compare(f.LargestUserKey(), hi) >= 0 {
+				if hi != nil && reachesPast(f, hi) {
 					t.Fatalf("level %d guard %q: file %s crosses next guard %q", l, lo, f, hi)
 				}
 			}
 		}
 	}
+}
+
+// reachesPast reports whether f holds a key >= ukey. A largest key that is
+// a range-deletion sentinel is exclusive, so it may equal ukey.
+func reachesPast(f *base.FileMetadata, ukey []byte) bool {
+	c := bytes.Compare(f.LargestUserKey(), ukey)
+	return c > 0 || c == 0 && !f.LargestExclusive()
 }
 
 func TestFlushAndGet(t *testing.T) {

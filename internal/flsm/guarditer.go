@@ -24,10 +24,17 @@ import (
 // the request carries a prefix, tables whose prefix bloom filter rules the
 // prefix out are skipped before any block is read.
 type guardLevelIter struct {
-	tree     *Tree
-	level    int
-	groups   []guard.Guard // sentinel (Key=nil) followed by the guards
-	idx      int
+	tree  *Tree
+	level int
+	// gl is the level in the iterator's immutable version. Group 0 is the
+	// sentinel, group i >= 1 the guard gl.guards[i-1].
+	gl *guardedLevel
+	// lo and hi are the first and last groups the bounds can reach;
+	// groups outside [lo, hi] are never opened.
+	lo, hi int
+	idx    int
+	// inBounds counts the open group's files that overlap the bounds.
+	inBounds int
 	cur      iterator.Iterator // &g.m or &g.empty while a group is open
 	parallel bool
 	err      error
@@ -37,23 +44,29 @@ type guardLevelIter struct {
 	empty    iterator.Empty
 }
 
-// newGuardLevelIter builds the level iterator, pruning files outside
-// bounds before any table is opened. Guards left with no files are dropped
-// (except the sentinel slot, which anchors group indexing); FindGuard on
-// the thinned guard list still lands scans on the correct remaining group
-// because every file lies within its own guard interval.
+// newGuardLevelIter builds the level iterator without copying the level:
+// the bounds map to a group range with two binary searches over the guard
+// keys, and each group's files are checked against the bounds only when
+// the group is opened. Building costs O(log guards), whatever the size of
+// the level.
 func newGuardLevelIter(t *Tree, level int, gl *guardedLevel, parallel bool, req treebase.IterRequest) *guardLevelIter {
-	bounds := req.Bounds
-	groups := make([]guard.Guard, 0, len(gl.guards)+1)
-	groups = append(groups, guard.Guard{Files: bounds.FilterFiles(gl.sentinel)})
-	for i := range gl.guards {
-		files := bounds.FilterFiles(gl.guards[i].Files)
-		if len(files) == 0 && !bounds.Unbounded() {
-			continue
-		}
-		groups = append(groups, guard.Guard{Key: gl.guards[i].Key, Files: files})
+	g := &guardLevelIter{tree: t, level: level, gl: gl, hi: len(gl.guards), idx: -1, parallel: parallel, req: req}
+	if req.Bounds.Lower != nil {
+		g.lo = guard.FindGuard(gl.guards, req.Bounds.Lower) + 1
 	}
-	return &guardLevelIter{tree: t, level: level, groups: groups, idx: -1, parallel: parallel, req: req}
+	if req.Bounds.Upper != nil {
+		g.hi = guard.FindGuard(gl.guards, req.Bounds.Upper) + 1
+	}
+	return g
+}
+
+// group returns group i's guard key (nil for the sentinel) and files.
+func (g *guardLevelIter) group(i int) ([]byte, []*base.FileMetadata) {
+	if i == 0 {
+		return nil, g.gl.sentinel
+	}
+	gd := &g.gl.guards[i-1]
+	return gd.Key, gd.Files
 }
 
 // closeCur releases the open group: every pooled table iterator goes back
@@ -68,20 +81,26 @@ func (g *guardLevelIter) closeCur() {
 	g.cur = nil
 }
 
-// openGroup builds the merged iterator over group i's files without
-// positioning it; returns false past either end of the level or on error.
+// openGroup builds the merged iterator over group i's files within bounds
+// without positioning it; returns false outside [lo, hi] or on error.
 func (g *guardLevelIter) openGroup(i int) bool {
 	g.closeCur()
-	if i < 0 {
-		g.idx = -1
+	if i < g.lo {
+		g.idx = g.lo - 1
 		return false
 	}
-	if i >= len(g.groups) {
-		g.idx = len(g.groups)
+	if i > g.hi {
+		g.idx = g.hi + 1
 		return false
 	}
 	g.idx = i
-	for _, f := range g.groups[i].Files {
+	g.inBounds = 0
+	_, files := g.group(i)
+	for _, f := range files {
+		if !g.req.Bounds.Overlaps(f) {
+			continue
+		}
+		g.inBounds++
 		r, err := g.tree.tc.Find(f.FileNum, f.Size)
 		if err != nil {
 			g.err = err
@@ -107,8 +126,9 @@ func (g *guardLevelIter) openGroup(i int) bool {
 }
 
 // seekGroup opens group i (reusing it when already open — the steady state
-// of a warm scan loop re-seeking within one guard) and positions it at
-// target. Parallel seeks (§4.2): position each sstable iterator on its own
+// of a warm scan loop re-seeking within one guard), charges the guard's
+// seek budget with its in-bounds files, and positions it at target.
+// Parallel seeks (§4.2): position each sstable iterator on its own
 // goroutine, then assemble the heap. Only profitable when the tables are
 // likely uncached — the tree enables it for the last level only. reverse
 // selects SeekLT.
@@ -118,6 +138,8 @@ func (g *guardLevelIter) seekGroup(i int, target []byte, reverse bool) bool {
 			return false
 		}
 	}
+	key, _ := g.group(i)
+	g.tree.recordSeek(g.level, key, g.inBounds)
 	if g.cur != &g.m { // empty group
 		return true
 	}
@@ -151,16 +173,15 @@ func (g *guardLevelIter) seekGroup(i int, target []byte, reverse bool) bool {
 	return true
 }
 
-// findGroup locates the group whose guard interval contains ukey and
-// charges its seek budget.
+// findGroup returns the group whose guard interval contains ukey, clamped
+// to the groups the bounds reach.
 func (g *guardLevelIter) findGroup(ukey []byte) int {
-	// groups[0] is the sentinel; guards start at index 1.
-	gi := guard.FindGuard(g.groups[1:], ukey) + 1
-	if gi >= 1 {
-		g.tree.recordSeek(g.level, g.groups[gi].Key, len(g.groups[gi].Files))
-	} else {
-		gi = 0
-		g.tree.recordSeek(g.level, nil, len(g.groups[0].Files))
+	gi := guard.FindGuard(g.gl.guards, ukey) + 1
+	if gi < g.lo {
+		gi = g.lo
+	}
+	if gi > g.hi {
+		gi = g.hi
 	}
 	return gi
 }
@@ -194,8 +215,8 @@ func (g *guardLevelIter) First() {
 	if g.err != nil {
 		return
 	}
-	if g.idx != 0 || g.cur == nil {
-		if !g.openGroup(0) {
+	if g.idx != g.lo || g.cur == nil {
+		if !g.openGroup(g.lo) {
 			return
 		}
 	}
@@ -208,9 +229,8 @@ func (g *guardLevelIter) Last() {
 	if g.err != nil {
 		return
 	}
-	last := len(g.groups) - 1
-	if g.idx != last || g.cur == nil {
-		if !g.openGroup(last) {
+	if g.idx != g.hi || g.cur == nil {
+		if !g.openGroup(g.hi) {
 			return
 		}
 	}

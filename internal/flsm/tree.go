@@ -478,8 +478,10 @@ func userKeyInRange(ukey []byte, f *base.FileMetadata) bool {
 // any table is opened; when the request carries a prefix, L0 tables whose
 // prefix bloom filter rules the prefix out are skipped too (tombstone
 // collection is a separate pass, so a skipped table's range deletions are
-// still honored). Iterators are appended to dst, which pooled callers
-// recycle across NewIters calls.
+// still honored). The call costs O(levels × log guards + L0 tables +
+// tombstone tables): guard levels are read in place from the immutable
+// version and tombstones come from its tombstone-table list. Iterators are
+// appended to dst, which pooled callers recycle across NewIters calls.
 func (t *Tree) NewIters(req treebase.IterRequest, dst []iterator.Iterator) ([]iterator.Iterator, []rangedel.Tombstone, error) {
 	bounds := req.Bounds
 	v := t.currentVersion()
@@ -511,7 +513,7 @@ func (t *Tree) NewIters(req treebase.IterRequest, dst []iterator.Iterator) ([]it
 		parallel := t.cfg.ParallelSeeks && l == t.cfg.NumLevels-1
 		iters = append(iters, newGuardLevelIter(t, l, gl, parallel, req))
 	}
-	rds, err := t.collectRangeDels(v, bounds)
+	rds, err := treebase.CollectRangeDels(t.tc, v.rangeDelFiles, bounds)
 	if err != nil {
 		for _, it := range iters {
 			it.Close()
@@ -519,47 +521,6 @@ func (t *Tree) NewIters(req treebase.IterRequest, dst []iterator.Iterator) ([]it
 		return nil, nil, err
 	}
 	return iters, rds, nil
-}
-
-// collectRangeDels gathers the tombstones of every table in v overlapping
-// bounds. Tables flagged clean in their metadata — the overwhelming
-// majority — are skipped without opening; flagged tables hand back their
-// resident lists, so no block IO happens here either.
-func (t *Tree) collectRangeDels(v *version, bounds base.Bounds) ([]rangedel.Tombstone, error) {
-	var rds []rangedel.Tombstone
-	add := func(f *base.FileMetadata) error {
-		if f.NumRangeDels == 0 || !bounds.Overlaps(f) {
-			return nil
-		}
-		r, err := t.tc.Find(f.FileNum, f.Size)
-		if err != nil {
-			return err
-		}
-		rds = append(rds, r.RangeDels().Raw()...)
-		r.Unref()
-		return nil
-	}
-	for _, f := range v.l0 {
-		if err := add(f); err != nil {
-			return nil, err
-		}
-	}
-	for l := 1; l < t.cfg.NumLevels; l++ {
-		gl := &v.levels[l]
-		for _, f := range gl.sentinel {
-			if err := add(f); err != nil {
-				return nil, err
-			}
-		}
-		for i := range gl.guards {
-			for _, f := range gl.guards[i].Files {
-				if err := add(f); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return rds, nil
 }
 
 // recordSeek charges a guard's seek budget; exhaustion schedules the guard

@@ -14,6 +14,7 @@ import (
 	"pebblesdb/internal/base"
 	"pebblesdb/internal/guard"
 	"pebblesdb/internal/manifest"
+	"pebblesdb/internal/treebase"
 )
 
 // guardedLevel is one level's layout: a sentinel holding files below the
@@ -22,6 +23,9 @@ import (
 type guardedLevel struct {
 	sentinel []*base.FileMetadata
 	guards   []guard.Guard
+	// numFiles counts the sentinel's and guards' files; index sets it
+	// once the version is built.
+	numFiles int
 }
 
 func (gl *guardedLevel) totalBytes() int64 {
@@ -35,13 +39,7 @@ func (gl *guardedLevel) totalBytes() int64 {
 	return t
 }
 
-func (gl *guardedLevel) fileCount() int {
-	n := len(gl.sentinel)
-	for i := range gl.guards {
-		n += len(gl.guards[i].Files)
-	}
-	return n
-}
+func (gl *guardedLevel) fileCount() int { return gl.numFiles }
 
 // guardKeys returns the level's committed guard keys.
 func (gl *guardedLevel) guardKeys() [][]byte {
@@ -64,7 +62,14 @@ func (gl *guardedLevel) hasGuard(key []byte) bool {
 type version struct {
 	l0     []*base.FileMetadata // newest first
 	levels []guardedLevel       // index 0 unused
+	// rangeDelFiles lists the tables holding range tombstones, so an
+	// iterator collects them without walking every table.
+	rangeDelFiles []*base.FileMetadata
 }
+
+// applyCheck, when set, is called with every version apply builds. Tests
+// set it to assert the derived indexes after every install.
+var applyCheck func(*version)
 
 func newVersion(numLevels int) *version {
 	return &version{levels: make([]guardedLevel, numLevels)}
@@ -128,7 +133,26 @@ func (v *version) apply(edit *manifest.VersionEdit, numLevels int) (*version, er
 		nv.addFile(nf.Level, &meta)
 	}
 	sort.Slice(nv.l0, func(i, j int) bool { return nv.l0[i].FileNum > nv.l0[j].FileNum })
+	nv.index()
+	if applyCheck != nil {
+		applyCheck(nv)
+	}
 	return nv, nil
+}
+
+// index derives the per-level file counts and the tombstone-table list
+// from the layout, in one walk of the (already O(files)) new version.
+func (v *version) index() {
+	v.rangeDelFiles = treebase.AppendRangeDelTables(nil, v.l0)
+	for l := range v.levels {
+		gl := &v.levels[l]
+		gl.numFiles = len(gl.sentinel)
+		v.rangeDelFiles = treebase.AppendRangeDelTables(v.rangeDelFiles, gl.sentinel)
+		for i := range gl.guards {
+			gl.numFiles += len(gl.guards[i].Files)
+			v.rangeDelFiles = treebase.AppendRangeDelTables(v.rangeDelFiles, gl.guards[i].Files)
+		}
+	}
 }
 
 // insertGuards adds a batch of guard keys to a level in one merge pass,

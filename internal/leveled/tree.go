@@ -401,33 +401,20 @@ func (t *Tree) chargeSeek(f *base.FileMetadata, level int) {
 // iterator per deeper level, along with every range tombstone held by
 // tables overlapping the bounds (file bounds include tombstone spans, so
 // pruning cannot lose a masking tombstone). Tables whose key ranges fall
-// outside bounds are pruned before any table is opened; when the request
-// carries a prefix, L0 tables whose prefix bloom filter rules the prefix
-// out are skipped (their tombstones are still collected). Iterators are
-// appended to dst, which pooled callers recycle across NewIters calls.
+// outside bounds are pruned before any table is opened: deeper levels are
+// sorted and disjoint, so their in-bounds files are a binary-searched
+// subslice. When the request carries a prefix, L0 tables whose prefix
+// bloom filter rules the prefix out are skipped (their tombstones are
+// still collected, from the version's tombstone-table list). The call
+// costs O(levels × log files + L0 tables + tombstone tables). Iterators
+// are appended to dst, which pooled callers recycle across NewIters calls.
 func (t *Tree) NewIters(req treebase.IterRequest, dst []iterator.Iterator) ([]iterator.Iterator, []rangedel.Tombstone, error) {
 	bounds := req.Bounds
 	v := t.currentVersion()
 	iters := dst
-	var rds []rangedel.Tombstone
-	collect := func(f *base.FileMetadata) error {
-		if f.NumRangeDels == 0 {
-			return nil
-		}
-		r, err := t.tc.Find(f.FileNum, f.Size)
-		if err != nil {
-			return err
-		}
-		rds = append(rds, r.RangeDels().Raw()...)
-		r.Unref()
-		return nil
-	}
 	for _, f := range v.files[0] {
 		if !bounds.Overlaps(f) {
 			continue
-		}
-		if err := collect(f); err != nil {
-			return closeAll(iters, err)
 		}
 		r, err := t.tc.Find(f.FileNum, f.Size)
 		if err != nil {
@@ -442,16 +429,13 @@ func (t *Tree) NewIters(req treebase.IterRequest, dst []iterator.Iterator) ([]it
 		iters = append(iters, treebase.GetTableIter(r))
 	}
 	for l := 1; l < t.cfg.NumLevels; l++ {
-		files := bounds.FilterFiles(v.files[l])
-		if len(files) == 0 {
-			continue
+		if files := inBounds(v.files[l], bounds); len(files) > 0 {
+			iters = append(iters, newLevelIter(t.tc, files, req))
 		}
-		iters = append(iters, newLevelIter(t.tc, files, req))
-		for _, f := range files {
-			if err := collect(f); err != nil {
-				return closeAll(iters, err)
-			}
-		}
+	}
+	rds, err := treebase.CollectRangeDels(t.tc, v.rangeDelFiles, bounds)
+	if err != nil {
+		return closeAll(iters, err)
 	}
 	return iters, rds, nil
 }

@@ -12,6 +12,7 @@ import (
 
 	"pebblesdb/internal/base"
 	"pebblesdb/internal/manifest"
+	"pebblesdb/internal/treebase"
 )
 
 // version is an immutable snapshot of the file layout. files[0] is sorted
@@ -19,7 +20,14 @@ import (
 // smallest key and are disjoint in user-key ranges.
 type version struct {
 	files [][]*base.FileMetadata
+	// rangeDelFiles lists the tables holding range tombstones, so an
+	// iterator collects them without walking every table.
+	rangeDelFiles []*base.FileMetadata
 }
+
+// applyCheck, when set, is called with every version apply builds. Tests
+// set it to assert the derived indexes after every install.
+var applyCheck func(*version)
 
 func newVersion(numLevels int) *version {
 	return &version{files: make([][]*base.FileMetadata, numLevels)}
@@ -59,6 +67,12 @@ func (v *version) apply(edit *manifest.VersionEdit, numLevels int) (*version, er
 		sort.Slice(fs, func(i, j int) bool {
 			return base.InternalCompare(fs[i].Smallest, fs[j].Smallest) < 0
 		})
+	}
+	for _, fs := range nv.files {
+		nv.rangeDelFiles = treebase.AppendRangeDelTables(nv.rangeDelFiles, fs)
+	}
+	if applyCheck != nil {
+		applyCheck(nv)
 	}
 	return nv, nil
 }
@@ -118,6 +132,27 @@ func overlaps(files []*base.FileMetadata, lo, hi []byte) []*base.FileMetadata {
 		out = append(out, f)
 	}
 	return out
+}
+
+// inBounds returns the subslice of a (sorted, disjoint) level whose files
+// overlap bounds, found by two binary searches: largest user keys rise
+// with smallest ones, so the overlapping files are contiguous.
+func inBounds(files []*base.FileMetadata, bounds base.Bounds) []*base.FileMetadata {
+	lo, hi := 0, len(files)
+	if bounds.Lower != nil {
+		lo = sort.Search(len(files), func(i int) bool {
+			return bytes.Compare(files[i].LargestUserKey(), bounds.Lower) >= 0
+		})
+	}
+	if bounds.Upper != nil {
+		hi = sort.Search(len(files), func(i int) bool {
+			return bytes.Compare(files[i].SmallestUserKey(), bounds.Upper) >= 0
+		})
+	}
+	if lo >= hi {
+		return nil
+	}
+	return files[lo:hi]
 }
 
 // rangeOfFiles returns the smallest and largest user keys across files.

@@ -8,6 +8,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -248,6 +249,30 @@ type tee struct{ a, b Listener }
 func (t tee) Notify(e Event) {
 	t.a.Notify(e)
 	t.b.Notify(e)
+}
+
+// Ordered returns a listener that delivers events to l one at a time, in
+// non-decreasing Nanos order. Flushes, compaction units and commits emit
+// concurrently, so an event stamped later can reach Notify first; Ordered
+// raises such an event's stamp to the latest one delivered. The call into
+// l happens under the lock, because delivery order is what it guarantees;
+// listeners must not block, per the Listener contract.
+func Ordered(l Listener) Listener { return &ordered{l: l} }
+
+type ordered struct {
+	mu   sync.Mutex
+	last int64
+	l    Listener
+}
+
+func (o *ordered) Notify(e Event) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if e.Nanos < o.last {
+		e.Nanos = o.last
+	}
+	o.last = e.Nanos
+	o.l.Notify(e)
 }
 
 // Logger is the pluggable sink for the slow-op log and flight-recorder

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -91,6 +92,42 @@ func TestTee(t *testing.T) {
 	}
 	if _, ok := Tee(nil, nil).(Nop); !ok {
 		t.Fatalf("Tee(nil, nil) is not Nop")
+	}
+}
+
+// TestOrdered checks that an event stamped earlier than one already
+// delivered is raised to that stamp, and that concurrent emitters leave
+// the delivered stream in timestamp order.
+func TestOrdered(t *testing.T) {
+	var got []int64
+	l := Ordered(Func(func(e Event) { got = append(got, e.Nanos) }))
+	for _, n := range []int64{100, 50, 150, 150, 120} {
+		l.Notify(Event{Nanos: n})
+	}
+	if fmt.Sprint(got) != "[100 100 150 150 150]" {
+		t.Fatalf("delivered stamps %v, want [100 100 150 150 150]", got)
+	}
+
+	got = got[:0]
+	l = Ordered(Func(func(e Event) { got = append(got, e.Nanos) }))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				l.Notify(Event{Nanos: Monotonic()})
+			}
+		}()
+	}
+	wg.Wait()
+	if len(got) != 4000 {
+		t.Fatalf("delivered %d events, want 4000", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] < got[i-1] {
+			t.Fatalf("event %d stamped %d after %d", i, got[i], got[i-1])
+		}
 	}
 }
 
